@@ -28,8 +28,8 @@ from pathlib import Path
 
 from conftest import cores_info, run_once
 from repro.cluster import (
-    ClusterExplorer,
     ExplorerNode,
+    FabricExecutor,
     FaultTolerantFabric,
     FleetResultCache,
     LocalCluster,
@@ -39,6 +39,7 @@ from repro.cluster import (
     TestRequest,
 )
 from repro.core import (
+    ExplorationSession,
     FaultSpace,
     FitnessGuidedSearch,
     IterationBudget,
@@ -105,8 +106,8 @@ class SleepyNode(ExplorerNode):
 
 
 def _campaign(fabric):
-    return ClusterExplorer(
-        FaultTolerantFabric(fabric, policy=RetryPolicy()),
+    return ExplorationSession(
+        FabricExecutor(FaultTolerantFabric(fabric, policy=RetryPolicy())),
         _space(), standard_impact(), FitnessGuidedSearch(),
         IterationBudget(ITERATIONS), rng=SEED, batch_size=BATCH_SIZE,
     ).run()

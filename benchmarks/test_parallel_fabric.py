@@ -31,7 +31,7 @@ from repro.campaign import CampaignJob
 from repro.core.checkpoint import history_digest
 from repro.obs import MetricsRegistry, RingBufferSink, Tracer, profile_payload
 from repro.cluster import (
-    ClusterExplorer,
+    FabricExecutor,
     NodeManager,
     ProcessPoolCluster,
     VirtualCluster,
@@ -88,16 +88,16 @@ def test_parallel_fabric_throughput(benchmark, report):
             with ProcessPoolCluster(
                 functools.partial(target_by_name, "minidb"), workers=WORKERS
             ) as pool:
-                explorer = ClusterExplorer(
-                    pool, _space(), standard_impact(), FitnessGuidedSearch(),
-                    IterationBudget(ITERATIONS), rng=SEED,
-                    batch_size=batch_size,
-                )
-                results = explorer.run()
+                executor = FabricExecutor(pool)
+                results = ExplorationSession(
+                    executor, _space(), standard_impact(),
+                    FitnessGuidedSearch(), IterationBudget(ITERATIONS),
+                    rng=SEED, batch_size=batch_size,
+                ).run()
                 return (
                     results, pool.is_degraded, pool.encode_seconds,
-                    explorer.autobatch.stats()
-                    if explorer.autobatch is not None else None,
+                    executor.autobatch.stats()
+                    if executor.autobatch is not None else None,
                 )
         (pool_results, degraded, encode_s, _), pool_s = _timed(
             lambda: explore_on_pool(BATCH_SIZE)
@@ -112,8 +112,8 @@ def test_parallel_fabric_throughput(benchmark, report):
         virtual = VirtualCluster([
             NodeManager(f"vnode{i}", MiniDbTarget()) for i in range(WORKERS)
         ])
-        virtual_results = ClusterExplorer(
-            virtual, _space(), standard_impact(), FitnessGuidedSearch(),
+        virtual_results = ExplorationSession(
+            FabricExecutor(virtual), _space(), standard_impact(), FitnessGuidedSearch(),
             IterationBudget(ITERATIONS), rng=SEED, batch_size=BATCH_SIZE,
         ).run()
 

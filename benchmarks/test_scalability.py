@@ -15,8 +15,9 @@ from __future__ import annotations
 import random
 
 from conftest import run_once
-from repro.cluster import ClusterExplorer, NodeManager, VirtualCluster
+from repro.cluster import FabricExecutor, NodeManager, VirtualCluster
 from repro.core import (
+    ExplorationSession,
     FaultSpace,
     FitnessGuidedSearch,
     IterationBudget,
@@ -43,8 +44,8 @@ def test_scalability_linear_nodes(benchmark, report):
                 NodeManager(f"node{i}", CoreutilsTarget()) for i in range(nodes)
             ]
             cluster = VirtualCluster(managers)
-            explorer = ClusterExplorer(
-                cluster,
+            explorer = ExplorationSession(
+                FabricExecutor(cluster),
                 _space(),
                 standard_impact(),
                 FitnessGuidedSearch(),

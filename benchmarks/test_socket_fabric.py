@@ -30,8 +30,8 @@ from pathlib import Path
 from conftest import cores_info, run_once
 from repro.cluster import (
     PROTOCOL_VERSION,
-    ClusterExplorer,
     ExplorerNode,
+    FabricExecutor,
     FaultTolerantFabric,
     LocalCluster,
     NodeManager,
@@ -39,6 +39,7 @@ from repro.cluster import (
     SocketFabric,
 )
 from repro.core import (
+    ExplorationSession,
     FaultSpace,
     FitnessGuidedSearch,
     IterationBudget,
@@ -71,8 +72,8 @@ def _timed(func):
 def test_socket_fabric_wire_overhead(benchmark, report):
     def experiment():
         def explore(cluster):
-            return ClusterExplorer(
-                cluster, _space(), standard_impact(), FitnessGuidedSearch(),
+            return ExplorationSession(
+                FabricExecutor(cluster), _space(), standard_impact(), FitnessGuidedSearch(),
                 IterationBudget(ITERATIONS), rng=SEED,
                 batch_size=BATCH_SIZE,
             ).run()

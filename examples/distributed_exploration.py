@@ -1,7 +1,8 @@
 """Cluster-parallel exploration (§6, Fig. 2 architecture).
 
-An explorer coordinates node managers, each owning a copy of the system
-under test, a fault-injector plugin, and a sensor set.  This example
+The explorer (an ExplorationSession running on a FabricExecutor)
+coordinates node managers, each owning a copy of the system under test,
+a fault-injector plugin, and a sensor set.  This example
 runs a real thread-pool cluster over MiniHttpd — hardened by the
 fault-tolerance layer and checkpointed so a killed run can resume —
 then models the same exploration on virtual 1/4/14-node clusters to
@@ -24,7 +25,7 @@ import argparse
 import os
 
 from repro.cluster import (
-    ClusterExplorer,
+    FabricExecutor,
     FaultTolerantFabric,
     LocalCluster,
     NodeManager,
@@ -32,6 +33,7 @@ from repro.cluster import (
     VirtualCluster,
 )
 from repro.core import (
+    ExplorationSession,
     FaultSpace,
     FitnessGuidedSearch,
     IterationBudget,
@@ -63,8 +65,9 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--die-after", type=int, default=None, metavar="N",
                         help="simulate a crash: hard-exit (code 137) after "
                         "N executed tests")
-    parser.add_argument("--profile", action="store_true",
-                        help="collect metrics and write BENCH_obs.json")
+    parser.add_argument("--profile", default=None, metavar="PATH",
+                        help="collect metrics and write the profile "
+                        "summary to PATH")
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="write Prometheus exposition text to PATH")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
@@ -98,8 +101,8 @@ def main(argv: list[str] | None = None) -> None:
                   f"(checkpoint: {args.checkpoint})", flush=True)
             os._exit(137)
 
-    explorer = ClusterExplorer(
-        fabric,
+    explorer = ExplorationSession(
+        FabricExecutor(fabric),
         httpd_space(),
         standard_impact(),
         FitnessGuidedSearch(),
@@ -137,12 +140,12 @@ def main(argv: list[str] | None = None) -> None:
 
             print()
             print(render_table(metrics, title="metrics: distributed example"))
-            write_json_atomically("BENCH_obs.json", profile_payload(
+            write_json_atomically(args.profile, profile_payload(
                 metrics,
                 meta={"example": "distributed_exploration",
                       "iterations": args.iterations, "tests": len(results)},
             ))
-            print("profile: BENCH_obs.json")
+            print(f"profile: {args.profile}")
 
     # -- virtual-time scaling, 1 vs 4 vs 14 nodes ---------------------------
     table = TextTable(["nodes", "virtual makespan (ms)", "speedup"],
@@ -152,8 +155,8 @@ def main(argv: list[str] | None = None) -> None:
             NodeManager(f"v{i}", target_by_name("httpd"))
             for i in range(nodes)
         ])
-        ClusterExplorer(
-            cluster, httpd_space(), standard_impact(),
+        ExplorationSession(
+            FabricExecutor(cluster), httpd_space(), standard_impact(),
             FitnessGuidedSearch(), IterationBudget(280), rng=5,
             batch_size=28,
         ).run()

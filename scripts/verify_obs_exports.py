@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Verify a profiled run's observability exports (CI ``metrics-smoke``).
 
-A run with ``--profile --metrics-out --trace-out`` must leave behind:
+A run with ``--profile PATH --metrics-out --trace-out`` must leave
+behind:
 
 * a Prometheus exposition file that *parses* and contains the core
   series — tests, rounds, fitness, execution latency — with a nonzero
   dispatch-latency histogram;
-* a ``BENCH_obs.json`` profile summary of the same registry;
+* a profile summary of the same registry (``--profile-json``, default
+  ``profile.json``);
 * a JSON-lines trace whose events all carry the current schema version
   and assemble into round-rooted trees.
 
@@ -48,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="Prometheus exposition file to check")
     parser.add_argument("--trace", default="trace.jsonl",
                         help="JSON-lines trace file to check")
-    parser.add_argument("--profile-json", default="BENCH_obs.json",
+    parser.add_argument("--profile-json", default="profile.json",
                         help="profile summary file to check")
     parser.add_argument("--require-cache", action="store_true",
                         help="also require the cache.* series (the run "

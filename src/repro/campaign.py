@@ -30,7 +30,7 @@ from repro.core.runner import TargetRunner
 from repro.core.search import FitnessGuidedSearch
 from repro.core.search.base import SearchStrategy
 from repro.core.targets import SearchTarget
-from repro.errors import ClusterError, ReportError
+from repro.errors import ReportError
 from repro.quality.report import ExplorationReport, build_report
 from repro.service.documents import verdict_of
 from repro.service.engine import FABRICS, CampaignEngine
@@ -181,10 +181,6 @@ class CampaignJob:
         function of space/strategy/seed/batch size, so reuse never
         changes outcomes); call :meth:`close` when done with the job.
         """
-        if self.fabric not in FABRICS:
-            raise ClusterError(
-                f"unknown fabric {self.fabric!r}; available: {FABRICS}"
-            )
         engine = self.engine()
         strategy = self.strategy_factory()
         online = self.online_quality or self.live_feedback

@@ -21,11 +21,7 @@ import sys
 
 from repro.core.dsl import parse_fault_space
 from repro.core.faultspace import FaultSpace
-from repro.core.impact import standard_impact
-from repro.core.runner import TargetRunner
 from repro.core.search import strategy_by_name
-from repro.core.session import ExplorationSession
-from repro.core.targets import IterationBudget
 from repro.injection.callsite import profile_target
 from repro.sim.targets import target_by_name
 from repro.util.tables import TextTable
@@ -189,9 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
         "are re-queued and retried (default: wait forever)",
     )
     run.add_argument(
-        "--profile", action="store_true",
+        "--profile", default=None, metavar="PATH",
         help="collect metrics during the run, print the registry table, "
-        "and write the machine-readable summary to BENCH_obs.json",
+        "and write the machine-readable summary to PATH",
     )
     run.add_argument(
         "--metrics-out", default=None, metavar="PATH",
@@ -504,7 +500,7 @@ def _explore_on_fabric(args: argparse.Namespace, target, space, strategy):
         "fabric": fabric, "fault_model": fault_model,
     }
     metrics = tracer = None
-    if (getattr(args, "profile", False) or getattr(args, "metrics_out", None)
+    if (getattr(args, "profile", None) or getattr(args, "metrics_out", None)
             or getattr(args, "trace_out", None)):
         from repro.obs import JsonLinesSink, MetricsRegistry, RingBufferSink, Tracer
 
@@ -727,7 +723,7 @@ def _export_metrics(
     if getattr(args, "metrics_out", None):
         Path(args.metrics_out).write_text(to_prometheus(metrics))
         print(f"metrics: {args.metrics_out}")
-    if getattr(args, "profile", False):
+    if getattr(args, "profile", None):
         from repro.core.cache import write_json_atomically
 
         print()
@@ -740,7 +736,7 @@ def _export_metrics(
             "tests": tests,
             "elapsed_seconds": elapsed,
         })
-        out = Path("BENCH_obs.json")
+        out = Path(args.profile)
         write_json_atomically(out, payload)
         print(f"profile: {out}")
 
@@ -767,24 +763,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     from repro.core.search import FitnessGuidedSearch
     from repro.quality import RedundancyFeedback, build_report
+    from repro.service.engine import CampaignEngine
 
     target = target_by_name(args.target)
-    runner = TargetRunner(target)
     strategy = strategy_by_name(args.strategy)
     if isinstance(strategy, FitnessGuidedSearch):
         strategy.fitness_weight = RedundancyFeedback()
-    session = ExplorationSession(
-        runner=runner,
-        space=_default_space(target, args.max_call),
-        metric=standard_impact(),
-        strategy=strategy,
-        target=IterationBudget(args.iterations),
-        rng=args.seed,
-    )
-    results = session.run()
+    with CampaignEngine(target) as engine:
+        run = engine.explore(
+            _default_space(target, args.max_call), strategy,
+            iterations=args.iterations, seed=args.seed,
+        )
     report = build_report(
-        results,
-        runner,
+        run.results,
+        run.runner,
         args.target,
         strategy_name=args.strategy,
         top_n=args.top,
@@ -1050,9 +1042,8 @@ def _cmd_node(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     import json
 
-    from repro.core.cache import result_to_payload
     from repro.errors import ReplayError
-    from repro.replay import format_outcome, replay, result_digest
+    from repro.replay import format_outcome, replay
 
     if not (args.store or args.checkpoint or args.report_json):
         print("afex replay: pass at least one of --store, --checkpoint, "
@@ -1079,21 +1070,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print(f"afex replay: {exc}")
         return 2
     if args.json:
-        print(json.dumps({
-            "crash_id": outcome.source.crash_id,
-            "source": outcome.source.source,
-            "target": f"{outcome.source.target_name}/"
-                      f"{outcome.source.target_version}",
-            "fault_model": outcome.source.fault_model,
-            "matches": outcome.matches,
-            "divergences": [
-                {"key": key, "recorded": recorded, "replayed": replayed}
-                for key, recorded, replayed in outcome.divergences
-            ],
-            "explanation": outcome.explanation,
-            "result_digest": result_digest(outcome.result),
-            "result": result_to_payload(outcome.result),
-        }, indent=2, sort_keys=True))
+        print(json.dumps(outcome.as_document(), indent=2, sort_keys=True))
     else:
         print(format_outcome(outcome))
     return 0 if outcome.matches else 1

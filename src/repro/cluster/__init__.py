@@ -1,8 +1,10 @@
 """The parallel testing substrate (§6, Fig. 2).
 
-An :class:`~repro.cluster.explorer_node.ClusterExplorer` coordinates a
+The explorer is the one :class:`~repro.core.session.ExplorationSession`
+loop; on a cluster it runs each generation through a
+:class:`~repro.cluster.executor.FabricExecutor`, which coordinates a
 set of :class:`~repro.cluster.manager.NodeManager` instances.  The
-explorer turns faults into :class:`~repro.cluster.messages.TestRequest`
+executor turns faults into :class:`~repro.cluster.messages.TestRequest`
 messages; each manager converts the scenario to injector configuration
 via its plugins, runs the startup/test/cleanup scripts, lets its sensors
 measure the run, and replies with a
@@ -57,7 +59,7 @@ prove the recovery machinery actually recovers.
 
 from repro.cluster.autobatch import AdaptiveBatchController, NodeLatencyTracker
 from repro.cluster.chaos import ChaosCluster
-from repro.cluster.explorer_node import ClusterExplorer, ExecutionFabric
+from repro.cluster.executor import FabricExecutor
 from repro.cluster.fault_tolerance import (
     FabricHealth,
     FaultTolerantFabric,
@@ -91,12 +93,11 @@ from repro.cluster.sensors import (
 __all__ = [
     "AdaptiveBatchController",
     "ChaosCluster",
-    "ClusterExplorer",
     "CoverageSensor",
     "CrashSensor",
-    "ExecutionFabric",
     "ExitCodeSensor",
     "ExplorerNode",
+    "FabricExecutor",
     "FabricHealth",
     "FaultTolerantFabric",
     "FleetResultCache",

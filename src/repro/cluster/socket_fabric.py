@@ -8,13 +8,14 @@ process serves the :mod:`repro.cluster.wire` protocol over TCP;
 work with backpressure — a node is never sent more requests than the
 free executor slots it has declared.
 
-The manager implements the same
-:class:`~repro.cluster.explorer_node.ExecutionFabric` interface as every
-in-process fabric (``__len__`` + ``run_batch``), so the whole existing
-stack — :class:`~repro.cluster.fault_tolerance.FaultTolerantFabric`
-retries, checkpoints, metrics, tracing, online quality — wraps it
-unchanged, and a campaign over the socket fabric produces a result
-history **byte-identical** to the same campaign on
+The manager has the same fabric interface as every in-process fabric
+(``__len__`` + ``run_batch``), so the one explore loop
+(:class:`~repro.core.session.ExplorationSession`) drives it through the
+same :class:`~repro.cluster.executor.FabricExecutor`, the whole
+existing stack — :class:`~repro.cluster.fault_tolerance.
+FaultTolerantFabric` retries, checkpoints, metrics, tracing, online
+quality — wraps it unchanged, and a campaign over the socket fabric
+produces a result history **byte-identical** to the same campaign on
 :class:`~repro.cluster.process_pool.ProcessPoolCluster` (execution is
 deterministic per fault; only placement differs).
 
@@ -62,9 +63,10 @@ operations"):
   :class:`~repro.cluster.autobatch.NodeLatencyTracker`), revoking the
   stolen ids at the victim with a ``steal`` frame.  A victim that
   raced the revocation and executed anyway is resolved
-  first-report-wins (``steal_duplicates`` counts the waste); stolen
-  work lost with a dead *thief* is requeued at the front exactly like
-  any other in-flight chunk;
+  first-report-wins: every later execution of a stolen id, the
+  victim's or the thief's, in its round or after it, counts once in
+  ``steal_duplicates``; stolen work lost with a dead *thief* is
+  requeued at the front exactly like any other in-flight chunk;
 * **dynamic membership** — a new node may register mid-campaign
   (``allow_join``); the manager re-arranges the remaining queue through
   the partitioner so the joiner receives a coherent slice.  A node
@@ -242,7 +244,9 @@ class _NodeConnection:
         self.assigned: dict[int, TestRequest] = {}
         #: ids reassigned (stolen) to another node but possibly still
         #: executing here — a report for one of these is a steal race,
-        #: not corruption, and is resolved first-report-wins.
+        #: not corruption, and is resolved first-report-wins.  Kept
+        #: past the round (a losing report may arrive late) until the
+        #: node reports the id, retires, or the id is dispatched anew.
         self.stolen_away: set[int] = set()
         #: graceful-leave state: a draining node receives no new work
         #: and is deregistered (``drained``) once its backlog empties.
@@ -273,7 +277,7 @@ class SocketFabric:
     """TCP manager fabric: serves the wire protocol to explorer nodes.
 
     Construct, optionally :meth:`wait_for_nodes`, then hand to a
-    :class:`~repro.cluster.explorer_node.ClusterExplorer` (ideally
+    :class:`~repro.cluster.executor.FabricExecutor` (ideally
     wrapped in a :class:`~repro.cluster.fault_tolerance.
     FaultTolerantFabric` for bounded retries on top of the fabric's own
     intra-round requeue).  ``listen`` is ``"host:port"``; port 0 binds
@@ -346,6 +350,9 @@ class SocketFabric:
         #: chunk is reassigned at most once per requeue, mirroring the
         #: requeue-to-front rule).
         self._stolen_once: set[int] = set()
+        #: stolen ids whose first report has been absorbed: any later
+        #: report for one — the victim's or the thief's — is waste.
+        self._steal_won: set[int] = set()
         #: wire accounting (exported by :meth:`bind_metrics`).
         self.bytes_in = 0
         self.bytes_out = 0
@@ -363,8 +370,9 @@ class SocketFabric:
         self.registrations = 0
         #: requests reassigned from a loaded node to an idle one.
         self.stolen = 0
-        #: stolen requests the victim executed anyway (revocation race);
-        #: resolved first-report-wins, so this counts wasted work only.
+        #: executions of a stolen request after its first absorbed report
+        #: (the revocation race's loser, victim or thief); resolved
+        #: first-report-wins, so this counts wasted work only.
         self.steal_duplicates = 0
         #: nodes that drained and deregistered gracefully (not deaths).
         self.graceful_leaves = 0
@@ -439,8 +447,6 @@ class SocketFabric:
                 if rid in round_.ids
             }
             self._stolen_once &= set(self._pending)
-            for n in self._nodes.values():
-                n.stolen_away &= set(self._pending)
             # A request is fresh unless a superseded round left it in
             # flight (still in ``_pending``).  An id sitting in a
             # node's ``assigned`` dict but *not* in ``_pending`` is a
@@ -453,6 +459,12 @@ class SocketFabric:
                 if r.request_id not in self._pending
                 and r.request_id not in self._reports
             ]
+            # A fresh request reuses its id: any steal copies still
+            # outstanding under that id belonged to an older request.
+            reused = {r.request_id for r in fresh}
+            self._steal_won -= reused
+            for n in self._nodes.values():
+                n.stolen_away -= reused
             if self.fleet_cache is not None:
                 # Fleet-wide dedup: a scenario completed anywhere in
                 # the fleet is answered from the manager's cache and
@@ -565,9 +577,12 @@ class SocketFabric:
             if not drain:
                 _close_socket(node.sock)
         try:
-            self._server.close()
-        except OSError:  # pragma: no cover
+            # Shutdown wakes the accept thread's blocked accept() at
+            # once; a bare close() leaves it blocked on Linux.
+            self._server.shutdown(socket.SHUT_RDWR)
+        except OSError:  # pragma: no cover - already disconnected
             pass
+        _close_socket(self._server)
         self._accept_thread.join(timeout=2.0)
 
     def __enter__(self) -> "SocketFabric":
@@ -928,30 +943,25 @@ class SocketFabric:
                 return
             # The victim raced the steal frame and executed anyway.
             # Its report is as good as the thief's (determinism), so
-            # the first to arrive wins; the loser is counted as pure
-            # waste, never double-absorbed.
+            # the first to arrive wins.
             node.stolen_away.discard(rid)
             request = self._pending.get(rid)
-            if request is None:
-                self.late_reports += 1
-                return
-        elif rid not in self._pending:
-            # Legitimate but late: its round moved on and dropped
-            # the request.  Discard — late reports never
-            # double-account (same rule as FaultTolerantFabric).
-            self.late_reports += 1
-            return
-        elif self._pending[rid] != request:
-            # A zombie from an earlier round: the id was reused for a
-            # *different* request after this node's round completed
-            # behind its back (steal race, first report won).  The
-            # node executed the old request — absorbing its report
-            # for the new one would record the wrong result.
-            self.late_reports += 1
-            return
-        if rid in self._reports:
+        if rid in self._steal_won or rid in self._reports:
+            # The other copy of a stolen request already won — in this
+            # round or an earlier one.  Counted as waste exactly once,
+            # never double-absorbed.
+            self._steal_won.discard(rid)
             self.steal_duplicates += 1
             return
+        if request is None or self._pending.get(rid) != request:
+            # Legitimate but late (its round moved on and dropped the
+            # request), or a zombie whose id now names a *different*
+            # request.  Discard — late reports never double-account
+            # (same rule as FaultTolerantFabric).
+            self.late_reports += 1
+            return
+        if rid in self._stolen_once:
+            self._steal_won.add(rid)
         self.partitioner.observe(request, report)
         if self.fleet_cache is not None:
             self.fleet_cache.record(request, report)

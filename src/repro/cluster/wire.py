@@ -96,6 +96,7 @@ import struct
 import zlib
 
 from repro.cluster.messages import TestReport, TestRequest
+from repro.core.cache import _canonical, _decanonical
 from repro.errors import ClusterError
 
 __all__ = [
@@ -777,20 +778,6 @@ def decode_binary_frame(payload: bytes) -> dict:
 
 
 # -- value canonicalization -----------------------------------------------------
-
-
-def _canonical(value: object) -> object:
-    """JSON-stable view of a scenario value (tuples become lists)."""
-    if isinstance(value, tuple):
-        return [_canonical(v) for v in value]
-    return value
-
-
-def _decanonical(value: object) -> object:
-    """Inverse of :func:`_canonical`: JSON lists become tuples again."""
-    if isinstance(value, list):
-        return tuple(_decanonical(v) for v in value)
-    return value
 
 
 # -- JSON message codecs (protocol v1 data plane) -------------------------------

@@ -58,6 +58,13 @@ def _canonical(value: object) -> object:
     return value
 
 
+def _decanonical(value: object) -> object:
+    """Inverse of :func:`_canonical`: JSON lists become tuples again."""
+    if isinstance(value, list):
+        return tuple(_decanonical(v) for v in value)
+    return value
+
+
 class ResultCache:
     """LRU memoization of :class:`~repro.sim.process.RunResult`s.
 
@@ -223,7 +230,7 @@ class ResultCache:
                 "version": 1,
                 "capacity": self.capacity,
                 "entries": [
-                    [key, _result_to_payload(result)]
+                    [key, result_to_payload(result)]
                     for key, result in self._entries.items()
                 ],
             }
@@ -237,7 +244,7 @@ class ResultCache:
         data = json.loads(source.read_text())
         loaded = 0
         for key, payload in data["entries"]:
-            self.put(key, _result_from_payload(payload))
+            self.put(key, result_from_payload(payload))
             loaded += 1
         return loaded
 
@@ -270,8 +277,11 @@ def write_json_atomically(destination: Path, payload: object) -> None:
         raise
 
 
-def _result_to_payload(result: "RunResult") -> dict:
+def result_to_payload(result: "RunResult") -> dict:
     """Full-fidelity JSON view of a RunResult (trace excluded).
+
+    The one RunResult field table: checkpoints, saved result sets and
+    the service store persist results with exactly this serialization.
 
     Call traces are only populated by explicitly traced runs, which the
     runner never caches, so dropping ``trace`` loses nothing.
@@ -308,7 +318,7 @@ def _result_to_payload(result: "RunResult") -> dict:
     return payload
 
 
-def _result_from_payload(payload: dict) -> "RunResult":
+def result_from_payload(payload: dict) -> "RunResult":
     from repro.injection.plan import InjectionPlan
     from repro.sim.libc import ProvenanceRecord
     from repro.sim.process import RunResult
@@ -340,11 +350,3 @@ def _result_from_payload(payload: dict) -> "RunResult":
             for row in payload.get("provenance", ())
         ),
     )
-
-
-#: public names for the RunResult wire format — campaign checkpoints
-#: (:mod:`repro.core.checkpoint`) persist result history with the exact
-#: same serialization the cache uses, so the two files stay mutually
-#: intelligible.
-result_to_payload = _result_to_payload
-result_from_payload = _result_from_payload

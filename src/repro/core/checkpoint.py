@@ -40,6 +40,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.cache import (
+    _canonical,
+    _decanonical,
     result_from_payload,
     result_to_payload,
     write_json_atomically,
@@ -64,20 +66,6 @@ __all__ = [
 #: bump on any incompatible change to the checkpoint schema.
 CHECKPOINT_VERSION = 1
 _KIND = "afex-checkpoint"
-
-
-def _canonical(value: object) -> object:
-    """JSON-stable view of an attribute value (tuples become lists)."""
-    if isinstance(value, tuple):
-        return [_canonical(v) for v in value]
-    return value
-
-
-def _decanonical(value: object) -> object:
-    """Inverse of :func:`_canonical`: JSON lists become tuples again."""
-    if isinstance(value, list):
-        return tuple(_decanonical(v) for v in value)
-    return value
 
 
 def space_fingerprint(space: FaultSpace) -> dict[str, object]:

@@ -11,10 +11,13 @@ test suites."
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from collections.abc import Callable, Iterator, Sequence
+from pathlib import Path
 
 from repro.core.fault import Fault
+from repro.errors import ReportError
 from repro.quality.clustering import RedundancyClusters, cluster_stacks
 from repro.sim.process import RunResult
 
@@ -42,6 +45,10 @@ class ExecutedTest:
     @property
     def hung(self) -> bool:
         return self.result.hung
+
+
+#: bump on any incompatible change to the saved result-set format.
+RESULTS_VERSION = 2
 
 
 class ResultSet:
@@ -193,115 +200,47 @@ if __name__ == "__main__":
     # -- persistence (§6.3: results outlive the exploration session) -----------------
 
     def to_json(self) -> str:
-        """Serialize the result set (summaries, not full traces).
+        """Serialize the result set, losslessly.
 
-        Faults, outcomes, impacts, coverage, and injection stacks are
-        preserved — everything the quality analyses consume — so a saved
-        run can be re-clustered, re-ranked, and re-reported later
-        without re-executing anything.
+        Every test goes through the checkpoint codec — the same
+        full-fidelity payload checkpoints persist and
+        :func:`~repro.core.checkpoint.history_digest` hashes — so a
+        saved run can be re-clustered, re-ranked, re-reported and
+        re-digested later without re-executing anything.
         """
-        import json
+        from repro.core.checkpoint import _executed_to_payload
 
-        payload = []
-        for t in self._executed:
-            entry = {
-                "index": t.index,
-                "fault": {
-                    "subspace": t.fault.subspace,
-                    "attributes": [[n, v] for n, v in t.fault.attributes],
-                },
-                "impact": t.impact,
-                "fitness": t.fitness,
-                "result": {
-                    "test_id": t.result.test_id,
-                    "test_name": t.result.test_name,
-                    "plan": t.result.plan.format(),
-                    "exit_code": t.result.exit_code,
-                    "crash_kind": t.result.crash_kind,
-                    "crash_message": t.result.crash_message,
-                    "crash_stack": list(t.result.crash_stack or []) or None,
-                    "injection_stack":
-                        list(t.result.injection_stack or []) or None,
-                    "injected": t.result.injected,
-                    "coverage": sorted(t.result.coverage),
-                    "steps": t.result.steps,
-                    "open_fds": t.result.open_fds,
-                    "leaked_heap_bytes": t.result.leaked_heap_bytes,
-                    "failure_message": t.result.failure_message,
-                    "measurements": t.result.measurements,
-                },
-            }
-            if t.result.provenance:
-                # Optional key, only when non-empty: keeps saved sets
-                # from provenance-off runs byte-identical to before.
-                entry["result"]["provenance"] = [
-                    list(record) for record in t.result.provenance
-                ]
-            payload.append(entry)
-        return json.dumps({"version": 1, "tests": payload})
+        return json.dumps({
+            "version": RESULTS_VERSION,
+            "tests": [
+                {"index": t.index, **_executed_to_payload(t)}
+                for t in self._executed
+            ],
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "ResultSet":
         """Rebuild a result set saved with :meth:`to_json`."""
-        import json
-
-        from repro.injection.plan import InjectionPlan
-        from repro.sim.libc import ProvenanceRecord
-
-        def _value(raw):
-            # JSON turns tuples into lists; restore the range-call shape.
-            return tuple(raw) if isinstance(raw, list) else raw
+        from repro.core.checkpoint import _executed_from_payload
 
         data = json.loads(text)
-        executed = []
-        for entry in data["tests"]:
-            raw_fault = entry["fault"]
-            fault = Fault(
-                raw_fault["subspace"],
-                tuple((n, _value(v)) for n, v in raw_fault["attributes"]),
+        version = data.get("version")
+        if version != RESULTS_VERSION:
+            raise ReportError(
+                f"saved result set has version {version!r}; this build "
+                f"reads version {RESULTS_VERSION} (version 1 files were "
+                "lossy and cannot be upgraded — re-run the campaign)"
             )
-            raw = entry["result"]
-            result = RunResult(
-                test_id=raw["test_id"],
-                test_name=raw["test_name"],
-                plan=InjectionPlan.parse(raw["plan"]),
-                exit_code=raw["exit_code"],
-                crash_kind=raw["crash_kind"],
-                crash_message=raw["crash_message"],
-                crash_stack=tuple(raw["crash_stack"])
-                if raw["crash_stack"] else None,
-                injection_stack=tuple(raw["injection_stack"])
-                if raw["injection_stack"] else None,
-                injected=raw["injected"],
-                coverage=frozenset(raw["coverage"]),
-                steps=raw["steps"],
-                open_fds=raw.get("open_fds", 0),
-                leaked_heap_bytes=raw.get("leaked_heap_bytes", 0),
-                failure_message=raw["failure_message"],
-                measurements=dict(raw["measurements"]),
-                provenance=tuple(
-                    ProvenanceRecord.from_raw(row)
-                    for row in raw.get("provenance", ())
-                ),
-            )
-            executed.append(ExecutedTest(
-                index=entry["index"],
-                fault=fault,
-                result=result,
-                impact=entry["impact"],
-                fitness=entry["fitness"],
-            ))
-        return cls(executed)
+        return cls([
+            _executed_from_payload(entry, entry["index"])
+            for entry in data["tests"]
+        ])
 
     def save(self, path) -> None:
-        from pathlib import Path
-
         Path(path).write_text(self.to_json())
 
     @classmethod
     def load(cls, path) -> "ResultSet":
-        from pathlib import Path
-
         return cls.from_json(Path(path).read_text())
 
     # -- summary ---------------------------------------------------------------------

@@ -1,20 +1,28 @@
 """The exploration session: AFEX's generate → execute → evaluate loop.
 
 This is the explorer of §6.1: it asks the strategy for the next
-*generation* of faults, executes them through a runner (locally or via
-the cluster substrate in :mod:`repro.cluster`), scores each outcome with
-the impact metric (optionally weighted by an environment model, §7.5),
-feeds the results back to the strategy, and stops when the search target
-is met or the strategy exhausts the space.
+*generation* of faults, hands the generation to an executor, scores
+each outcome with the impact metric (optionally weighted by an
+environment model, §7.5), feeds the results back to the strategy, and
+stops when the search target is met or the strategy exhausts the space.
 
-``batch_size=1`` (the default) is the paper's single-process loop and
-reproduces serial trajectories exactly: one proposal, one execution, one
-observation per iteration.  ``batch_size=k`` dispatches ``k``
-speculative candidates per round — sound for every bundled strategy
-(Algorithm 1 is stochastic beam search; see
-:meth:`~repro.core.search.base.SearchStrategy.propose_batch`) — and an
-optional ``batch_runner`` executes each generation on a parallel fabric
-(thread pool, process pool) instead of the in-process serial map.
+The loop is the same whether it drives one process or a fleet of node
+managers; only the executor differs:
+
+* a per-fault runner (a :class:`~repro.core.runner.TargetRunner`, or
+  any ``fault -> RunResult`` callable) runs in the
+  :class:`SerialExecutor`, which maps each generation over it
+  in-process, so results keep full fidelity;
+* a :class:`~repro.cluster.executor.FabricExecutor` ships each
+  generation to a cluster fabric (threads, virtual time, a process
+  pool, or networked nodes) and turns the reports back into results.
+
+``batch_size=1`` (the serial default) is the paper's single-process
+loop: one proposal, one execution, one observation per iteration.
+``batch_size=k`` dispatches ``k`` speculative candidates per round —
+sound for every bundled strategy (Algorithm 1 is stochastic beam
+search; see
+:meth:`~repro.core.search.base.SearchStrategy.propose_batch`).
 
 Sessions are also **resumable**: with ``checkpoint_path`` /
 ``checkpoint_every`` set, the session snapshots its state between
@@ -37,19 +45,20 @@ from repro.core.impact import ImpactMetric
 from repro.core.results import ExecutedTest, ResultSet
 from repro.core.search.base import SearchStrategy
 from repro.core.targets import SearchTarget
-from repro.errors import CheckpointError, SearchError
+from repro.errors import CheckpointError, ClusterError, SearchError
 from repro.quality.online import OnlineClusters, QualityDelta
 from repro.quality.relevance import EnvironmentModel
 from repro.sim.process import RunResult
 from repro.util.rng import ensure_rng
 
-__all__ = ["ExplorationSession"]
+__all__ = ["BatchExecutor", "ExplorationSession", "SerialExecutor"]
 
 #: runner signature: fault -> run outcome.
 Runner = Callable[[Fault], RunResult]
 
-#: batch-runner signature: faults -> run outcomes, in the same order.
-BatchRunner = Callable[[Sequence[Fault]], Sequence[RunResult]]
+#: one executed fault: its outcome plus the worker-computed stack digest
+#: (None when the executor computes none).
+Outcome = tuple[RunResult, "str | None"]
 
 #: impact scores are small non-negative reals; these buckets resolve
 #: the paper's 0-10 composite range (and a tail for weighted metrics).
@@ -58,12 +67,76 @@ FITNESS_BUCKETS: tuple[float, ...] = (
 )
 
 
+class BatchExecutor:
+    """Executes the session's generations, one ``Outcome`` per fault.
+
+    The other hooks let an executor own what only it needs; their
+    defaults suit an in-process executor.
+    """
+
+    #: the fabric's fault-tolerance record (None in-process).
+    health: object | None = None
+
+    def instrument(self, metrics: object, tracer: object) -> None:
+        """Adopt the session's metrics registry and tracer (or None)."""
+
+    def resolve_batch_size(
+        self, requested: "int | str | None", checkpointing: bool
+    ) -> int:
+        """The first round's width for the session's ``batch_size``."""
+        if requested is None:
+            return 1
+        if requested == "auto":
+            raise ClusterError(
+                "adaptive batch sizing ('auto') needs a parallel fabric"
+            )
+        if not isinstance(requested, int) or requested < 1:
+            raise SearchError(f"batch size must be >= 1, got {requested!r}")
+        return requested
+
+    def execute(
+        self, faults: Sequence[Fault], dispatch: object | None = None
+    ) -> list[Outcome]:
+        """Run one generation; ``dispatch`` is the round's open trace
+        span (None when the round is not instrumented)."""
+        raise NotImplementedError
+
+    def next_batch_size(self, current: int) -> int:
+        """The next round's width, after a generation executed."""
+        return current
+
+    def resumed(self, replayed: int) -> None:
+        """Checkpoint replay re-accounted ``replayed`` recorded tests."""
+
+    def checkpoint_meta(self) -> dict[str, object]:
+        """Executor state recorded next to each checkpoint."""
+        return {}
+
+
+class SerialExecutor(BatchExecutor):
+    """Maps each generation over a per-fault runner, in-process."""
+
+    def __init__(self, runner: Runner) -> None:
+        self.runner = runner
+
+    def execute(
+        self, faults: Sequence[Fault], dispatch: object | None = None
+    ) -> list[Outcome]:
+        return [(self.runner(fault), None) for fault in faults]
+
+
 class ExplorationSession:
-    """Drives one strategy against one target until the goal is met."""
+    """Drives one strategy against one target until the goal is met.
+
+    ``runner`` is either a per-fault runner, executed serially, or a
+    :class:`BatchExecutor`.  ``batch_size`` is the round width; None
+    lets the executor choose (1 in-process, the fleet width on a
+    fabric, which also accepts ``"auto"``).
+    """
 
     def __init__(
         self,
-        runner: Runner,
+        runner: Runner | BatchExecutor,
         space: FaultSpace,
         metric: ImpactMetric,
         strategy: SearchStrategy,
@@ -71,8 +144,7 @@ class ExplorationSession:
         rng: random.Random | int | None = None,
         environment: EnvironmentModel | None = None,
         on_test: Callable[[ExecutedTest], None] | None = None,
-        batch_size: int = 1,
-        batch_runner: BatchRunner | None = None,
+        batch_size: "int | str | None" = None,
         checkpoint_path: str | Path | None = None,
         checkpoint_every: int = 0,
         checkpoint_meta: dict[str, object] | None = None,
@@ -83,9 +155,17 @@ class ExplorationSession:
         cluster_distance: int = 1,
         similarity_threshold: float = 0.0,
     ) -> None:
-        if batch_size < 1:
-            raise SearchError(f"batch size must be >= 1, got {batch_size}")
-        self.runner = runner
+        self.executor = (
+            runner if isinstance(runner, BatchExecutor)
+            else SerialExecutor(runner)
+        )
+        self.executor.instrument(metrics, tracer)
+        self.batch_size = self.executor.resolve_batch_size(
+            batch_size,
+            checkpointing=(
+                checkpoint_path is not None or resume_from is not None
+            ),
+        )
         self.space = space
         self.metric = metric
         self.strategy = strategy
@@ -93,8 +173,6 @@ class ExplorationSession:
         self.rng = ensure_rng(rng)
         self.environment = environment
         self.on_test = on_test
-        self.batch_size = batch_size
-        self.batch_runner = batch_runner
         self.resume_from = resume_from
         #: optional :class:`~repro.obs.metrics.MetricsRegistry` — the
         #: session reports per-round fitness, round latency, and
@@ -134,13 +212,9 @@ class ExplorationSession:
             self._proposals_gauge = metrics.gauge("session.proposals_per_s")
         self.checkpointer = (
             CheckpointWriter(
-                checkpoint_path, checkpoint_every, space, batch_size,
+                checkpoint_path, checkpoint_every, space, self.batch_size,
                 meta=checkpoint_meta,
-                meta_provider=(
-                    self._checkpoint_meta
-                    if metrics is not None or self.quality is not None
-                    else None
-                ),
+                meta_provider=self._checkpoint_meta,
             )
             if checkpoint_path is not None else None
         )
@@ -148,25 +222,18 @@ class ExplorationSession:
         self._started = False
         self._round = 0
 
-    def _obs_meta(self) -> dict[str, object]:
-        """Checkpoint metadata: the metrics snapshot at a round boundary
-        plus the trace schema version (recorded next to the checkpoint
-        schema version so a resumed run knows both formats)."""
-        from repro.obs.trace import TRACE_SCHEMA_VERSION
-
-        return {
-            "trace_schema": TRACE_SCHEMA_VERSION,
-            "metrics": self.metrics.snapshot(),  # type: ignore[union-attr]
-        }
-
     def _checkpoint_meta(self) -> dict[str, object]:
-        """Dynamic checkpoint metadata: the obs snapshot plus the
-        versioned cluster-state summary.  Both live in ``meta``, which
-        the history digest does not cover — adding them cannot shift a
-        resumed trajectory."""
-        meta: dict[str, object] = {}
+        """Dynamic checkpoint metadata: the executor's state, the
+        metrics snapshot plus the trace schema version, and the
+        versioned cluster-state summary.  All of it lives in ``meta``,
+        which the history digest does not cover — adding it cannot
+        shift a resumed trajectory."""
+        meta = self.executor.checkpoint_meta()
         if self.metrics is not None:
-            meta.update(self._obs_meta())
+            from repro.obs.trace import TRACE_SCHEMA_VERSION
+
+            meta["trace_schema"] = TRACE_SCHEMA_VERSION
+            meta["metrics"] = self.metrics.snapshot()
         if self.quality is not None:
             meta["quality"] = self.quality.state_payload()
         return meta
@@ -179,7 +246,7 @@ class ExplorationSession:
         then applies feedback in proposal order.  The stop criterion is
         consulted between rounds, so a session may overshoot its target
         by at most one batch — the §6.1 price of dispatch width (zero at
-        the default ``batch_size=1``).
+        ``batch_size=1``).
         """
         if self._started:
             raise SearchError(
@@ -189,21 +256,23 @@ class ExplorationSession:
         self._started = True
         self.strategy.bind(self.space, self.rng)
         if self.resume_from is not None:
-            replay_history(
+            self.executor.resumed(replay_history(
                 self.resume_from, self.strategy, self.batch_size,
                 self.space, self._account, rng=self.rng,
-            )
+            ))
             self._verify_quality_resume()
         while not self.target.done(self.executed):
             if self.tracer is None and self.metrics is None:
                 batch = self.strategy.propose_batch(self.batch_size)
                 if not batch:
                     break  # space exhausted (or strategy gave up)
-                self._execute_batch(batch)
+                for fault, (result, digest) in zip(
+                    batch, self._execute(batch)
+                ):
+                    self._account(fault, result, digest)
                 self._publish_quality_delta()
-            else:
-                if not self._observed_round():
-                    break
+            elif not self._observed_round():
+                break
             if self.checkpointer is not None:
                 self.checkpointer.maybe_write(self.executed, self.rng)
         if self.checkpointer is not None:
@@ -224,9 +293,10 @@ class ExplorationSession:
                 batch = self.strategy.propose_batch(self.batch_size)
             if not batch:
                 return False
-            with tracer.span("dispatch", requests=len(batch)):
-                executed = self._execute_batch(batch)
-            for test in executed:
+            with tracer.span("dispatch", requests=len(batch)) as dispatch:
+                outcomes = self._execute(batch, dispatch)
+            for fault, (result, digest) in zip(batch, outcomes):
+                test = self._account(fault, result, digest)
                 with tracer.span("verdict", index=test.index) as span:
                     span.set(impact=test.impact, failed=test.result.failed)
             if self.quality is not None:
@@ -242,28 +312,31 @@ class ExplorationSession:
                 self._proposals_gauge.set(len(batch) / elapsed)
         return True
 
-    def _execute_batch(self, batch: list[Fault]) -> list[ExecutedTest]:
-        """Execute one generation and account results in proposal order."""
-        if self.batch_runner is not None and len(batch) > 1:
-            results = list(self.batch_runner(batch))
-            if len(results) != len(batch):
-                raise SearchError(
-                    f"batch runner returned {len(results)} results "
-                    f"for {len(batch)} faults"
-                )
-        else:
-            results = [self.runner(fault) for fault in batch]
-        return [
-            self._account(fault, result)
-            for fault, result in zip(batch, results)
-        ]
+    def _execute(
+        self, batch: list[Fault], dispatch: object | None = None
+    ) -> list[Outcome]:
+        """Execute one generation through the executor."""
+        outcomes = self.executor.execute(batch, dispatch)
+        if len(outcomes) != len(batch):
+            raise SearchError(
+                f"executor returned {len(outcomes)} results "
+                f"for {len(batch)} faults"
+            )
+        self.batch_size = self.executor.next_batch_size(self.batch_size)
+        return outcomes
 
-    def execute_one(self, fault: Fault) -> ExecutedTest:
-        """Execute a single fault and account it (exposed for clusters)."""
-        return self._account(fault, self.runner(fault))
+    def _account(
+        self,
+        fault: Fault,
+        result: RunResult,
+        stack_digest: str | None = None,
+    ) -> ExecutedTest:
+        """Score, feed back, and record one result (live or replayed).
 
-    def _account(self, fault: Fault, result: RunResult) -> ExecutedTest:
-        """Score, feed back, and record one executed fault."""
+        Checkpoint replay drives this path too (without a worker
+        digest), so a resumed session rebuilds its strategy, metric and
+        cluster state exactly as recorded.
+        """
         impact = self.metric.score(result)
         if self.environment is not None:
             impact = self.environment.weight_impact(fault, impact)
@@ -271,7 +344,9 @@ class ExplorationSession:
             self._tests_counter.inc()
             self._fitness_hist.observe(impact)
         if self.quality is not None:
-            update = self.quality.add(result.injection_stack)
+            update = self.quality.add(
+                result.injection_stack, digest=stack_digest
+            )
             self.strategy.observe(fault, impact, result,
                                   novelty=update.novelty)
         else:
@@ -313,7 +388,3 @@ class ExplorationSession:
             self.quality.verify_state(persisted)
         except ValueError as exc:
             raise CheckpointError(str(exc)) from None
-
-    @property
-    def iterations(self) -> int:
-        return len(self.executed)

@@ -9,9 +9,9 @@ Three views of the same registry:
   ``_total`` counters, ``_bucket``/``_sum``/``_count`` histograms) so a
   real scraper — or the CI ``metrics-smoke`` job via
   :func:`parse_prometheus` — can consume a run's metrics;
-* :func:`profile_payload` — the machine-readable ``--profile`` summary
-  written to ``BENCH_obs.json``, same shape as the other ``BENCH_*.json``
-  artifacts (histogram p50/p95/p99 digests, counters, gauges).
+* :func:`profile_payload` — the machine-readable ``--profile PATH``
+  summary, same shape as the ``BENCH_*.json`` artifacts (histogram
+  p50/p95/p99 digests, counters, gauges).
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.core.cache import _decanonical
 from repro.errors import ReplayError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -94,13 +95,6 @@ def result_digest(result: "RunResult") -> str:
         result_to_payload(result), sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _decanonical(value: object) -> object:
-    """JSON lists back to tuples (the Fault attribute-value shape)."""
-    if isinstance(value, list):
-        return tuple(_decanonical(v) for v in value)
-    return value
 
 
 def _attributes_tuple(raw) -> tuple:
@@ -337,6 +331,26 @@ class ReplayOutcome:
     @property
     def matches(self) -> bool:
         return not self.divergences
+
+    def as_document(self) -> dict[str, object]:
+        """The JSON verdict ``afex replay --json`` and the API return."""
+        from repro.core.cache import result_to_payload
+
+        source = self.source
+        return {
+            "crash_id": source.crash_id,
+            "source": source.source,
+            "target": f"{source.target_name}/{source.target_version}",
+            "fault_model": source.fault_model,
+            "matches": self.matches,
+            "divergences": [
+                {"key": key, "recorded": recorded, "replayed": replayed}
+                for key, recorded, replayed in self.divergences
+            ],
+            "explanation": self.explanation,
+            "result_digest": result_digest(self.result),
+            "result": result_to_payload(self.result),
+        }
 
 
 def _build_fault(source: ReplaySource) -> "Fault":

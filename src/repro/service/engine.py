@@ -8,7 +8,13 @@ an engine-driven run reproduces the exact
 :func:`~repro.core.checkpoint.history_digest` the pre-refactor code
 produced for every fabric.
 
-The engine owns what a one-shot run used to rebuild on every call:
+Every campaign runs the one
+:class:`~repro.core.session.ExplorationSession` loop; the fabric only
+picks its executor — a :class:`~repro.core.session.SerialExecutor`
+around the engine's :class:`~repro.core.runner.TargetRunner`, or a
+:class:`~repro.cluster.executor.FabricExecutor` around the parallel
+fabric.  The engine owns what a one-shot run used to rebuild on every
+call:
 
 * **fabric lifecycle** — the thread/virtual node managers, the warm
   process pool, or the networked socket fabric are built once on first
@@ -40,7 +46,11 @@ from repro.core.impact import ImpactMetric, standard_impact
 from repro.core.results import ResultSet
 from repro.core.runner import TargetRunner
 from repro.core.search.base import SearchStrategy
-from repro.core.session import ExplorationSession
+from repro.core.session import (
+    BatchExecutor,
+    ExplorationSession,
+    SerialExecutor,
+)
 from repro.core.targets import IterationBudget, SearchTarget
 from repro.errors import ClusterError
 from repro.sim.testsuite import Target
@@ -207,18 +217,9 @@ class CampaignEngine:
 
     # -- fabric construction ---------------------------------------------------
 
-    def _serial_runner(self) -> TargetRunner:
-        if self._runner is None:
-            self._runner = TargetRunner(
-                self.target, self.injector,  # type: ignore[arg-type]
-                cache=self.cache, metrics=self.metrics, tracer=self.tracer,
-            )
-        else:
-            self.warm_reuses += 1
-        return self._runner
-
-    def _report_runner(self) -> TargetRunner:
-        """A runner for report re-execution (shared with serial runs)."""
+    def _target_runner(self) -> TargetRunner:
+        """The in-process runner: executes serial campaigns and
+        re-executes tests for reports on every fabric."""
         if self._runner is None:
             self._runner = TargetRunner(
                 self.target, self.injector,  # type: ignore[arg-type]
@@ -229,7 +230,6 @@ class CampaignEngine:
     def _ensure_cluster(self) -> object:
         """Build (or reuse) the parallel fabric for this engine."""
         if self._cluster is not None:
-            self.warm_reuses += 1
             return self._cluster
 
         from repro.cluster import (
@@ -243,6 +243,21 @@ class CampaignEngine:
         )
 
         fabric = self.resolved_fabric
+        policy = self.retry_policy or RetryPolicy()
+        if fabric == "processes":
+            # The pool carries its own retry/deadline machinery, so it
+            # is not wrapped again.  Without a picklable factory it
+            # degrades gracefully to in-process execution on its own.
+            factory = self.target_factory or (lambda: self.target)
+            self._pool = self._cluster = ProcessPoolCluster(
+                factory,
+                workers=self.workers,
+                name=self.name,
+                retry_policy=policy,
+                dispatch_deadline=self.dispatch_deadline,
+                injector_factory=self.injector_factory,
+            )
+            return self._cluster
         if fabric == "socket":
             kwargs: dict = {}
             if self.allow_join is not None:
@@ -263,26 +278,7 @@ class CampaignEngine:
             except BaseException:
                 net.close()
                 raise
-            self._net = net
-            self._cluster = FaultTolerantFabric(
-                net,
-                policy=self.retry_policy or RetryPolicy(),
-                dispatch_deadline=self.dispatch_deadline,
-            )
-        elif fabric == "processes":
-            # The pool carries its own retry/deadline machinery, so it
-            # is not wrapped again.  Without a picklable factory it
-            # degrades gracefully to in-process execution on its own.
-            factory = self.target_factory or (lambda: self.target)
-            self._pool = ProcessPoolCluster(
-                factory,
-                workers=self.workers,
-                name=self.name,
-                retry_policy=self.retry_policy or RetryPolicy(),
-                dispatch_deadline=self.dispatch_deadline,
-                injector_factory=self.injector_factory,
-            )
-            self._cluster = self._pool
+            inner = self._net = net
         else:
             self.target.suite  # pre-build once; managers then share it safely
             managers = [
@@ -295,11 +291,9 @@ class CampaignEngine:
             ]
             inner = (LocalCluster(managers) if fabric == "threads"
                      else VirtualCluster(managers))
-            self._cluster = FaultTolerantFabric(
-                inner,
-                policy=self.retry_policy or RetryPolicy(),
-                dispatch_deadline=self.dispatch_deadline,
-            )
+        self._cluster = FaultTolerantFabric(
+            inner, policy=policy, dispatch_deadline=self.dispatch_deadline,
+        )
         return self._cluster
 
     # -- campaigns -------------------------------------------------------------
@@ -329,90 +323,55 @@ class CampaignEngine:
         sockets, never search state, so repeated identical campaigns
         produce byte-identical digests.
         """
-        fabric = self.resolved_fabric
         stop = stop or IterationBudget(iterations)
         if isinstance(resume_from, (str, Path)):
             resume_from = load_checkpoint(resume_from)
+        if self.warm:
+            self.warm_reuses += 1
         started = time.perf_counter()
-        if fabric == "serial":
-            if batch_size == "auto":
-                raise ClusterError(
-                    "adaptive batch sizing ('auto') needs a parallel fabric"
-                )
-            session = ExplorationSession(
-                runner=self._serial_runner(),
-                space=space,
-                metric=self.metric_factory(),
-                strategy=strategy,
-                target=stop,
-                rng=seed,
-                batch_size=batch_size or 1,
-                on_test=on_test,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every,
-                checkpoint_meta=checkpoint_meta,
-                resume_from=resume_from,
-                metrics=self.metrics,
-                tracer=self.tracer,
-                online_quality=online_quality,
-                cluster_distance=cluster_distance,
-                similarity_threshold=similarity_threshold,
-            )
-            results = session.run()
-            run = EngineRun(
-                results=results,
-                strategy=strategy,
-                runner=session.runner,  # type: ignore[arg-type]
-                fabric=fabric,
-                seconds=time.perf_counter() - started,
-                health=None,
-                quality=session.quality,
-                quality_stats=(
-                    session.quality.stats()
-                    if session.quality is not None else None
-                ),
-                cache_stats=(
-                    self.cache.stats() if self.cache is not None else None
-                ),
-            )
-        else:
-            from repro.cluster import ClusterExplorer
-
-            explorer = ClusterExplorer(
-                self._ensure_cluster(),
-                space,
-                self.metric_factory(),
-                strategy,
-                stop,
-                rng=seed,
-                batch_size=batch_size,
-                on_test=on_test,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every,
-                checkpoint_meta=checkpoint_meta,
-                resume_from=resume_from,
-                metrics=self.metrics,
-                tracer=self.tracer,
-                online_quality=online_quality,
-                cluster_distance=cluster_distance,
-                similarity_threshold=similarity_threshold,
-            )
-            results = explorer.run()
-            run = EngineRun(
-                results=results,
-                strategy=strategy,
-                runner=self._report_runner(),
-                fabric=fabric,
-                seconds=time.perf_counter() - started,
-                health=explorer.health,
-                quality=explorer.quality,
-                quality_stats=(
-                    explorer.quality.stats()
-                    if explorer.quality is not None else None
-                ),
-                cache_stats=(
-                    self.cache.stats() if self.cache is not None else None
-                ),
-            )
+        executor = self._executor()
+        session = ExplorationSession(
+            executor,
+            space,
+            self.metric_factory(),
+            strategy,
+            stop,
+            rng=seed,
+            batch_size=batch_size,
+            on_test=on_test,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every,
+            checkpoint_meta=checkpoint_meta,
+            resume_from=resume_from,
+            metrics=self.metrics,
+            tracer=self.tracer,
+            online_quality=online_quality,
+            cluster_distance=cluster_distance,
+            similarity_threshold=similarity_threshold,
+        )
+        results = session.run()
         self.runs += 1
-        return run
+        return EngineRun(
+            results=results,
+            strategy=strategy,
+            runner=self._target_runner(),
+            fabric=self.resolved_fabric,
+            seconds=time.perf_counter() - started,
+            health=executor.health,
+            quality=session.quality,
+            quality_stats=(
+                session.quality.stats()
+                if session.quality is not None else None
+            ),
+            cache_stats=(
+                self.cache.stats() if self.cache is not None else None
+            ),
+        )
+
+    def _executor(self) -> BatchExecutor:
+        """The campaign's executor on the (possibly warm) fabric."""
+        if self.resolved_fabric == "serial":
+            return SerialExecutor(self._target_runner())
+        from repro.cluster import FabricExecutor
+
+        return FabricExecutor(self._ensure_cluster())

@@ -525,27 +525,9 @@ class CampaignService:
         test is cheap, so this runs inline on the calling thread; raises
         :class:`~repro.errors.ReplayError` for unknown/ambiguous ids.
         """
-        from repro.core.cache import result_to_payload
-        from repro.replay import replay, result_digest
+        from repro.replay import replay
 
-        outcome = replay(crash_id, store=self.store)
-        return {
-            "crash_id": outcome.source.crash_id,
-            "source": outcome.source.source,
-            "target": (
-                f"{outcome.source.target_name}/"
-                f"{outcome.source.target_version}"
-            ),
-            "fault_model": outcome.source.fault_model,
-            "matches": outcome.matches,
-            "divergences": [
-                {"key": key, "recorded": recorded, "replayed": replayed}
-                for key, recorded, replayed in outcome.divergences
-            ],
-            "explanation": outcome.explanation,
-            "result_digest": result_digest(outcome.result),
-            "result": result_to_payload(outcome.result),
-        }
+        return replay(crash_id, store=self.store).as_document()
 
     def stats(self) -> dict[str, object]:
         return {

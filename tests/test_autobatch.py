@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster import (
     AdaptiveBatchController,
-    ClusterExplorer,
+    FabricExecutor,
     LocalCluster,
     NodeManager,
 )
@@ -15,6 +15,7 @@ from repro.core.checkpoint import history_digest
 from repro.core.faultspace import FaultSpace
 from repro.core.impact import standard_impact
 from repro.core.search import strategy_by_name
+from repro.core.session import ExplorationSession
 from repro.core.targets import IterationBudget
 from repro.errors import ClusterError
 from repro.obs import MetricsRegistry
@@ -124,27 +125,27 @@ def _explore(minidb, **kwargs):
         call=range(0, 3),
     )
     managers = [NodeManager(f"m{i}", minidb) for i in range(2)]
-    explorer = ClusterExplorer(
-        LocalCluster(managers), space, standard_impact(),
+    session = ExplorationSession(
+        FabricExecutor(LocalCluster(managers)), space, standard_impact(),
         strategy_by_name("fitness"), IterationBudget(60), rng=5, **kwargs,
     )
-    return explorer, explorer.run()
+    return session, session.run()
 
 
 class TestExplorerIntegration:
     def test_auto_runs_a_campaign_and_adapts(self, minidb):
-        explorer, reports = _explore(minidb, batch_size="auto")
+        session, reports = _explore(minidb, batch_size="auto")
         assert len(list(reports)) == 60
-        assert explorer.autobatch is not None
-        assert explorer.autobatch.rounds >= 1
+        assert session.executor.autobatch is not None
+        assert session.executor.autobatch.rounds >= 1
         # The simulated target is fast: the controller must have grown
         # past its opening probe size.
-        assert explorer.batch_size > 2 * len(explorer.cluster)
+        assert session.batch_size > 2 * len(session.executor.cluster)
 
     def test_fixed_batch_size_leaves_the_controller_off(self, minidb):
-        explorer, reports = _explore(minidb, batch_size=6)
-        assert explorer.autobatch is None
-        assert explorer.batch_size == 6
+        session, reports = _explore(minidb, batch_size=6)
+        assert session.executor.autobatch is None
+        assert session.batch_size == 6
         assert len(list(reports)) == 60
 
     def test_auto_is_deterministic_for_a_fixed_trajectory(self, minidb):
@@ -160,8 +161,8 @@ class TestExplorerIntegration:
             test=range(1, 3), function=minidb.libc_functions(), call=[0]
         )
         with pytest.raises(ClusterError, match="auto"):
-            ClusterExplorer(
-                LocalCluster([NodeManager("m", minidb)]), space,
+            ExplorationSession(
+                FabricExecutor(LocalCluster([NodeManager("m", minidb)])), space,
                 standard_impact(), strategy_by_name("fitness"),
                 IterationBudget(4), batch_size="auto",
                 checkpoint_path=tmp_path / "c.json",
@@ -172,8 +173,8 @@ class TestExplorerIntegration:
             test=range(1, 3), function=minidb.libc_functions(), call=[0]
         )
         with pytest.raises(ClusterError):
-            ClusterExplorer(
-                LocalCluster([NodeManager("m", minidb)]), space,
+            ExplorationSession(
+                FabricExecutor(LocalCluster([NodeManager("m", minidb)])), space,
                 standard_impact(), strategy_by_name("fitness"),
                 IterationBudget(4), batch_size="huge",
             )

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.cluster import ClusterExplorer, ProcessPoolCluster
+from repro.cluster import FabricExecutor, ProcessPoolCluster
 from repro.cluster.messages import TestRequest as ClusterTestRequest
 from repro.core import (
     ExhaustiveSearch,
@@ -27,6 +27,7 @@ from repro.core import (
     TargetRunner,
     standard_impact,
 )
+from repro.core.session import BatchExecutor, SerialExecutor
 from repro.errors import SearchError
 from repro.sim.targets import target_by_name
 
@@ -143,16 +144,15 @@ class TestProposeBatch:
 
 class TestBatchedSession:
     def run_session(self, coreutils, batch_size, iterations=60, seed=3,
-                    batch_runner=None):
+                    executor=None):
         return ExplorationSession(
-            TargetRunner(coreutils),
+            executor or TargetRunner(coreutils),
             small_space(coreutils),
             standard_impact(),
             FitnessGuidedSearch(initial_batch=10),
             IterationBudget(iterations),
             rng=seed,
             batch_size=batch_size,
-            batch_runner=batch_runner,
         ).run()
 
     def test_batch_size_one_matches_pre_batching_loop(self, coreutils):
@@ -179,24 +179,30 @@ class TestBatchedSession:
         assert len(results) < 60 + 8
         assert results.failed_count() > 0
 
-    def test_batch_runner_receives_whole_generations(self, coreutils):
-        runner = TargetRunner(coreutils)
+    def test_executor_receives_whole_generations(self, coreutils):
         batches = []
 
-        def fabric(faults):
-            batches.append(len(faults))
-            return [runner(f) for f in faults]
+        class CountingExecutor(SerialExecutor):
+            def execute(self, faults, dispatch=None):
+                batches.append(len(faults))
+                return super().execute(faults, dispatch)
 
-        results = self.run_session(coreutils, batch_size=6,
-                                   batch_runner=fabric)
+        results = self.run_session(
+            coreutils, batch_size=6,
+            executor=CountingExecutor(TargetRunner(coreutils)),
+        )
         assert len(results) >= 60
         assert batches and all(size <= 6 for size in batches)
         assert any(size > 1 for size in batches)
 
-    def test_mismatched_batch_runner_rejected(self, coreutils):
+    def test_mismatched_executor_rejected(self, coreutils):
+        class EmptyExecutor(BatchExecutor):
+            def execute(self, faults, dispatch=None):
+                return []
+
         with pytest.raises(SearchError):
             self.run_session(coreutils, batch_size=4,
-                             batch_runner=lambda faults: [])
+                             executor=EmptyExecutor())
 
     def test_invalid_batch_size_rejected(self, coreutils):
         with pytest.raises(SearchError):
@@ -277,8 +283,8 @@ class TestProcessPoolCluster:
 
     def test_end_to_end_exploration(self, coreutils):
         with self.make_pool() as pool:
-            explorer = ClusterExplorer(
-                pool, small_space(coreutils), standard_impact(),
+            explorer = ExplorationSession(
+                FabricExecutor(pool), small_space(coreutils), standard_impact(),
                 RandomSearch(), IterationBudget(16), rng=9, batch_size=8,
             )
             results = explorer.run()
@@ -288,8 +294,8 @@ class TestProcessPoolCluster:
     def test_deterministic_given_seed(self, coreutils):
         def explore():
             with self.make_pool() as pool:
-                explorer = ClusterExplorer(
-                    pool, small_space(coreutils), standard_impact(),
+                explorer = ExplorationSession(
+                    FabricExecutor(pool), small_space(coreutils), standard_impact(),
                     RandomSearch(), IterationBudget(12), rng=7,
                     batch_size=6,
                 )

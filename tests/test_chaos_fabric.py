@@ -15,7 +15,7 @@ import pytest
 
 from repro.cluster import (
     ChaosCluster,
-    ClusterExplorer,
+    FabricExecutor,
     FabricHealth,
     FaultTolerantFabric,
     HeartbeatMonitor,
@@ -26,7 +26,13 @@ from repro.cluster import (
 from repro.cluster import TestReport as ClusterTestReport
 from repro.cluster import TestRequest as ClusterTestRequest
 from repro.cluster.chaos import ChaosError
-from repro.core import FaultSpace, FitnessGuidedSearch, IterationBudget, standard_impact
+from repro.core import (
+    ExplorationSession,
+    FaultSpace,
+    FitnessGuidedSearch,
+    IterationBudget,
+    standard_impact,
+)
 from repro.core.checkpoint import history_digest
 from repro.errors import ClusterError
 from repro.sim.targets.coreutils import CoreutilsTarget
@@ -46,8 +52,8 @@ def make_cluster(nodes: int = 3) -> LocalCluster:
 
 def explore(fabric, iterations: int = 60, seed: int = 7):
     target = CoreutilsTarget()
-    return ClusterExplorer(
-        fabric,
+    return ExplorationSession(
+        FabricExecutor(fabric),
         coreutils_space(target),
         standard_impact(),
         FitnessGuidedSearch(),

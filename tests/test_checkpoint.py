@@ -148,7 +148,7 @@ class TestResume:
     def test_cluster_resume_is_byte_identical(self, coreutils, space,
                                               tmp_path):
         from repro.cluster import (
-            ClusterExplorer,
+            FabricExecutor,
             FaultTolerantFabric,
             LocalCluster,
             NodeManager,
@@ -158,8 +158,8 @@ class TestResume:
             fabric = FaultTolerantFabric(LocalCluster([
                 NodeManager(f"n{i}", CoreutilsTarget()) for i in range(3)
             ]))
-            return ClusterExplorer(
-                fabric, space, standard_impact(), FitnessGuidedSearch(),
+            return ExplorationSession(
+                FabricExecutor(fabric), space, standard_impact(), FitnessGuidedSearch(),
                 IterationBudget(iterations), rng=8, batch_size=3, **kwargs,
             )
 

@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import (
-    ClusterExplorer,
     CoverageSensor,
     CrashSensor,
     ExitCodeSensor,
+    FabricExecutor,
     LocalCluster,
     NodeManager,
     ScriptTarget,
@@ -21,6 +21,7 @@ from repro.cluster.sensors import MeasurementPassthroughSensor, default_sensors
 from repro.core.faultspace import FaultSpace
 from repro.core.impact import standard_impact
 from repro.core.search import FitnessGuidedSearch, RandomSearch
+from repro.core.session import ExplorationSession
 from repro.core.targets import IterationBudget
 from repro.errors import ClusterError, TargetError
 from repro.sim.targets.coreutils import CoreutilsTarget
@@ -213,12 +214,12 @@ class TestVirtualCluster:
             sum(reference) / max(reference))
 
 
-class TestClusterExplorer:
+class TestFabricExploration:
     def test_end_to_end_exploration(self):
         target = CoreutilsTarget()
         managers = [NodeManager(f"n{i}", CoreutilsTarget()) for i in range(3)]
-        explorer = ClusterExplorer(
-            LocalCluster(managers),
+        explorer = ExplorationSession(
+            FabricExecutor(LocalCluster(managers)),
             coreutils_space(target),
             standard_impact(),
             FitnessGuidedSearch(initial_batch=10),
@@ -234,8 +235,8 @@ class TestClusterExplorer:
             target = CoreutilsTarget()
             managers = [NodeManager(f"n{i}", CoreutilsTarget())
                         for i in range(2)]
-            explorer = ClusterExplorer(
-                LocalCluster(managers), coreutils_space(target),
+            explorer = ExplorationSession(
+                FabricExecutor(LocalCluster(managers)), coreutils_space(target),
                 standard_impact(), RandomSearch(), IterationBudget(30),
                 rng=seed, batch_size=4,
             )
@@ -246,8 +247,8 @@ class TestClusterExplorer:
     def test_batch_size_defaults_to_cluster_width(self):
         target = CoreutilsTarget()
         managers = [NodeManager(f"n{i}", CoreutilsTarget()) for i in range(5)]
-        explorer = ClusterExplorer(
-            LocalCluster(managers), coreutils_space(target),
+        explorer = ExplorationSession(
+            FabricExecutor(LocalCluster(managers)), coreutils_space(target),
             standard_impact(), RandomSearch(), IterationBudget(10), rng=1,
         )
         assert explorer.batch_size == 5
@@ -255,8 +256,8 @@ class TestClusterExplorer:
     def test_invalid_batch_size(self):
         target = CoreutilsTarget()
         with pytest.raises(ClusterError):
-            ClusterExplorer(
-                LocalCluster([NodeManager("n", CoreutilsTarget())]),
+            ExplorationSession(
+                FabricExecutor(LocalCluster([NodeManager("n", CoreutilsTarget())])),
                 coreutils_space(target), standard_impact(), RandomSearch(),
                 IterationBudget(5), batch_size=0,
             )

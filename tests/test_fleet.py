@@ -23,8 +23,8 @@ import time
 import pytest
 
 from repro.cluster import (
-    ClusterExplorer,
     ExplorerNode,
+    FabricExecutor,
     FaultTolerantFabric,
     FleetResultCache,
     LocalCluster,
@@ -39,6 +39,7 @@ from repro.core.checkpoint import history_digest
 from repro.core.faultspace import FaultSpace
 from repro.core.impact import standard_impact
 from repro.core.search import strategy_by_name
+from repro.core.session import ExplorationSession
 from repro.core.targets import IterationBudget
 from repro.errors import ClusterError
 from repro.sim.targets.minidb import MiniDbTarget
@@ -101,6 +102,25 @@ def run_fleet(net, nodes, fn):
             thread.join(timeout=10)
 
 
+def settle_steals(net, nodes, timeout: float = 10.0) -> None:
+    """Wait until every stolen id has been skipped by its victim or
+    reported twice (the loser counted in ``steal_duplicates``).
+
+    ``run_batch`` returns on the first report per id, so a revocation
+    race's losing execution may still be in flight; node-side counters
+    read before it lands would be ahead of the manager's accounting.
+    """
+    deadline = time.monotonic() + timeout
+    while net.stolen != sum(n.stolen_skipped for n in nodes) \
+            + net.steal_duplicates:
+        assert time.monotonic() < deadline, (
+            f"stolen={net.stolen} skipped="
+            f"{[n.stolen_skipped for n in nodes]} "
+            f"duplicates={net.steal_duplicates}"
+        )
+        time.sleep(0.005)
+
+
 class TestWorkStealing:
     def test_idle_node_steals_backlog_from_the_slow_one(self, minidb):
         net = SocketFabric("127.0.0.1:0", expected_nodes=2)
@@ -122,7 +142,7 @@ class TestWorkStealing:
             # produced a duplicate report.
             assert net.stolen >= 2
             assert net.requeued == 0
-            assert slow.stolen_skipped + net.steal_duplicates == net.stolen
+            settle_steals(net, [fast, slow])
             assert fast.executed + slow.executed == 8 + net.steal_duplicates
             stats = net.fleet_stats()
             assert stats["stolen"] == net.stolen
@@ -326,6 +346,7 @@ class TestFleetDedup:
             first = net.run_batch([make_request(i) for i in range(6)])
             # A steal may race its revocation and duplicate a single
             # execution; reports are still exactly-once.
+            settle_steals(net, nodes)
             executed_before = sum(n.executed for n in nodes)
             assert executed_before == 6 + net.steal_duplicates
             assert net.fleet_dedup_hits == 0
@@ -381,8 +402,8 @@ class TestFleetDedup:
         )
 
         def campaign(fabric):
-            return ClusterExplorer(
-                FaultTolerantFabric(fabric, policy=RetryPolicy()),
+            return ExplorationSession(
+                FabricExecutor(FaultTolerantFabric(fabric, policy=RetryPolicy())),
                 space, standard_impact(), strategy_by_name("fitness"),
                 IterationBudget(32), rng=7, batch_size=4,
             ).run()
@@ -519,14 +540,15 @@ class TestFleetStatsSurface:
                 test=range(1, 4), function=minidb.libc_functions(),
                 call=range(0, 2),
             )
-            explorer = ClusterExplorer(
-                FaultTolerantFabric(net, policy=RetryPolicy()),
-                space, standard_impact(), strategy_by_name("fitness"),
-                IterationBudget(8), rng=3, batch_size=4,
+            executor = FabricExecutor(
+                FaultTolerantFabric(net, policy=RetryPolicy())
             )
-            explorer.run()
-            stats = explorer.fleet_stats()
-            assert stats is not None
+            ExplorationSession(
+                executor, space, standard_impact(),
+                strategy_by_name("fitness"), IterationBudget(8), rng=3,
+                batch_size=4,
+            ).run()
+            stats = executor.checkpoint_meta()["fleet"]
             for key in ("stolen", "graceful_leaves", "mid_campaign_joins",
                         "fleet_dedup_hits", "requeued"):
                 assert key in stats

@@ -160,12 +160,13 @@ class TestCombinedHealth:
 
     def test_explorer_health_reports_the_combined_record(self):
         from repro.core import (
+            ExplorationSession,
             FaultSpace,
             FitnessGuidedSearch,
             IterationBudget,
             standard_impact,
         )
-        from repro.cluster import ClusterExplorer
+        from repro.cluster import FabricExecutor
 
         target = CoreutilsTarget()
         space = FaultSpace.product(
@@ -173,12 +174,12 @@ class TestCombinedHealth:
         )
         inner = LocalCluster([NodeManager("n0", target)])
         fabric = FaultTolerantFabric(inner, sleep=lambda _: None)
-        explorer = ClusterExplorer(
-            fabric, space, standard_impact(), FitnessGuidedSearch(),
+        executor = FabricExecutor(fabric)
+        ExplorationSession(
+            executor, space, standard_impact(), FitnessGuidedSearch(),
             IterationBudget(6), rng=1, batch_size=2,
-        )
-        explorer.run()
-        health = explorer.health
+        ).run()
+        health = executor.health
         assert health is not None
         assert health.completed == 6
         assert health.accounted()

@@ -13,7 +13,7 @@ import json
 
 from repro.campaign import Campaign, CampaignJob
 from repro.cluster import (
-    ClusterExplorer,
+    FabricExecutor,
     FaultTolerantFabric,
     LocalCluster,
     NodeManager,
@@ -74,8 +74,8 @@ class TestTraceReconstruction:
         pool = ProcessPoolCluster(
             functools.partial(target_by_name, "coreutils"), workers=2,
         )
-        explorer = ClusterExplorer(
-            pool, small_space(target), standard_impact(),
+        explorer = ExplorationSession(
+            FabricExecutor(pool), small_space(target), standard_impact(),
             FitnessGuidedSearch(), IterationBudget(12), rng=3,
             batch_size=4, metrics=metrics, tracer=tracer,
         )
@@ -210,8 +210,8 @@ class TestThreadFabricMetrics:
         ]
         fabric = FaultTolerantFabric(LocalCluster(managers),
                                      sleep=lambda _: None)
-        ClusterExplorer(
-            fabric, small_space(target), standard_impact(),
+        ExplorationSession(
+            FabricExecutor(fabric), small_space(target), standard_impact(),
             FitnessGuidedSearch(), IterationBudget(10), rng=1,
             batch_size=2, metrics=metrics,
         ).run()
@@ -243,8 +243,8 @@ class TestHotPathGauges:
         thread = node.run_in_thread()
         try:
             net.wait_for_nodes(timeout=15)
-            ClusterExplorer(
-                net, small_space(target), standard_impact(),
+            ExplorationSession(
+                FabricExecutor(net), small_space(target), standard_impact(),
                 FitnessGuidedSearch(), IterationBudget(12), rng=2,
                 batch_size=4, metrics=metrics,
             ).run()
@@ -273,8 +273,8 @@ class TestHotPathGauges:
         )
         pool.bind_metrics(metrics)
         try:
-            ClusterExplorer(
-                pool, small_space(target), standard_impact(),
+            ExplorationSession(
+                FabricExecutor(pool), small_space(target), standard_impact(),
                 FitnessGuidedSearch(), IterationBudget(8), rng=2,
                 batch_size=4, metrics=metrics,
             ).run()
@@ -290,8 +290,8 @@ class TestHotPathGauges:
         target = target_by_name("coreutils")
         metrics = MetricsRegistry()
         managers = [NodeManager(f"g{i}", target) for i in range(2)]
-        ClusterExplorer(
-            LocalCluster(managers), small_space(target),
+        ExplorationSession(
+            FabricExecutor(LocalCluster(managers)), small_space(target),
             standard_impact(), FitnessGuidedSearch(), IterationBudget(20),
             rng=2, batch_size="auto", metrics=metrics,
         ).run()
@@ -330,14 +330,15 @@ class TestCliFlags:
         monkeypatch.chdir(tmp_path)
         code = main([
             "run", "--target", "coreutils", "--iterations", "15",
-            "--seed", "1", "--profile",
+            "--seed", "1", "--profile", str(tmp_path / "profile.json"),
             "--metrics-out", str(tmp_path / "metrics.prom"),
             "--trace-out", str(tmp_path / "trace.jsonl"),
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "history digest:" in out
-        assert "profile: BENCH_obs.json" in out
+        assert f"profile: {tmp_path / 'profile.json'}" in out
+        assert not (tmp_path / "BENCH_obs.json").exists()
 
         parsed = parse_prometheus((tmp_path / "metrics.prom").read_text())
         assert parsed["afex_session_tests_total"]["samples"][
@@ -351,7 +352,7 @@ class TestCliFlags:
         assert all(n["event"]["name"] == "round"
                    for n in tree[trace_id]["roots"])
 
-        payload = json.loads((tmp_path / "BENCH_obs.json").read_text())
+        payload = json.loads((tmp_path / "profile.json").read_text())
         assert payload["benchmark"] == "observability"
         assert payload["meta"]["target"] == "coreutils"
         assert payload["counters"]["session.tests"] == 15

@@ -336,11 +336,11 @@ class TestCheckpointedQuality:
 
 class TestFabricIntegration:
     def test_virtual_fabric_partition_matches_batch(self, coreutils):
-        from repro.cluster import ClusterExplorer, NodeManager, VirtualCluster
+        from repro.cluster import FabricExecutor, NodeManager, VirtualCluster
 
         managers = [NodeManager(f"n{i}", coreutils) for i in range(3)]
-        explorer = ClusterExplorer(
-            VirtualCluster(managers),
+        explorer = ExplorationSession(
+            FabricExecutor(VirtualCluster(managers)),
             small_space(coreutils),
             standard_impact(),
             FitnessGuidedSearch(),

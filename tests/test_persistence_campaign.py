@@ -74,6 +74,36 @@ class TestResultPersistence:
         restored = ResultSet.load(path)
         assert len(restored) == len(results)
 
+    def test_save_load_is_lossless_on_a_replkv_campaign(self, replkv,
+                                                         tmp_path):
+        """The saved file round-trips everything the history digest
+        covers — invariant violations and call counts included."""
+        from repro.core.checkpoint import history_digest
+        from repro.core.search import RandomSearch as Random
+        from repro.injection.models import model_injector, model_space
+        from repro.service.engine import CampaignEngine
+
+        with CampaignEngine(
+            replkv, injector=model_injector("errno+disk")
+        ) as engine:
+            run = engine.explore(
+                model_space(replkv, "errno+disk"), Random(),
+                iterations=600, seed=3,
+            )
+        assert any(t.result.invariant_violations for t in run.results)
+        path = tmp_path / "replkv.json"
+        run.results.save(path)
+        restored = ResultSet.load(path)
+        assert history_digest(list(restored)) == run.digest
+        assert [t.result.call_counts for t in restored] == \
+            [t.result.call_counts for t in run.results]
+
+    def test_version_one_files_are_refused(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text('{"version": 1, "tests": []}')
+        with pytest.raises(ReportError, match="version 1"):
+            ResultSet.load(path)
+
     def test_replay_plan_survives_roundtrip(self, results, coreutils):
         restored = ResultSet.from_json(results.to_json())
         failing = restored.failed_tests()
@@ -180,7 +210,7 @@ class TestCampaignClusterMode:
         assert outcomes[0].verdict == "FAILURES"
 
     def test_cluster_explorer_supports_environment_model(self):
-        from repro.cluster import ClusterExplorer, LocalCluster, NodeManager
+        from repro.cluster import FabricExecutor, LocalCluster, NodeManager
         from repro.core import IterationBudget, standard_impact
         from repro.quality import EnvironmentModel
         from repro.sim.targets.coreutils import CoreutilsTarget
@@ -191,8 +221,8 @@ class TestCampaignClusterMode:
             call=[0, 1, 2],
         )
         model = EnvironmentModel({"malloc": 1.0})
-        explorer = ClusterExplorer(
-            LocalCluster([NodeManager("n", CoreutilsTarget())]),
+        explorer = ExplorationSession(
+            FabricExecutor(LocalCluster([NodeManager("n", CoreutilsTarget())])),
             space, standard_impact(), RandomSearch(), IterationBudget(150),
             rng=4, environment=model,
         )

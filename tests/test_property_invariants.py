@@ -21,7 +21,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import ClusterExplorer, ProcessPoolCluster, RetryPolicy
+from repro.cluster import FabricExecutor, ProcessPoolCluster, RetryPolicy
 from repro.core import (
     ExplorationSession,
     FaultSpace,
@@ -213,8 +213,8 @@ class TestBatchedSerialDifferential:
             functools.partial(target_by_name, "coreutils"), workers=2,
         )
         try:
-            batched = ClusterExplorer(
-                pool, space, standard_impact(), FitnessGuidedSearch(),
+            batched = ExplorationSession(
+                FabricExecutor(pool), space, standard_impact(), FitnessGuidedSearch(),
                 IterationBudget(iterations), rng=seed,
                 batch_size=batch_size,
             ).run()

@@ -18,8 +18,8 @@ import time
 import pytest
 
 from repro.cluster import (
-    ClusterExplorer,
     ExplorerNode,
+    FabricExecutor,
     FaultTolerantFabric,
     LocalCluster,
     NodeManager,
@@ -46,6 +46,7 @@ from repro.core.checkpoint import history_digest
 from repro.core.faultspace import FaultSpace
 from repro.core.impact import standard_impact
 from repro.core.search import strategy_by_name
+from repro.core.session import ExplorationSession
 from repro.core.targets import IterationBudget
 from repro.errors import ClusterError
 from repro.sim.targets.minidb import MiniDbTarget
@@ -226,6 +227,13 @@ class TestDispatch:
         with pytest.raises(ClusterError):
             net.run_batch([make_request(0)])
 
+    def test_close_stops_the_accept_thread_at_once(self):
+        net = SocketFabric("127.0.0.1:0", expected_nodes=1)
+        net.close()
+        # Not waited out by the close's join timeout: the listening
+        # socket's shutdown wakes the blocked accept() immediately.
+        assert not net._accept_thread.is_alive()
+
     def test_wait_for_nodes_times_out_without_nodes(self):
         with SocketFabric("127.0.0.1:0", expected_nodes=1) as net:
             with pytest.raises(ClusterError):
@@ -252,8 +260,8 @@ class TestDigestParity:
         )
 
         def explore(cluster):
-            return ClusterExplorer(
-                cluster, space, standard_impact(),
+            return ExplorationSession(
+                FabricExecutor(cluster), space, standard_impact(),
                 strategy_by_name("fitness"), IterationBudget(40),
                 rng=11, batch_size=4,
             ).run()
@@ -702,8 +710,8 @@ class TestVersionNegotiationEndToEnd:
             function=minidb.libc_functions(),
             call=range(0, 3),
         )
-        return ClusterExplorer(
-            FaultTolerantFabric(fabric, policy=RetryPolicy()),
+        return ExplorationSession(
+            FabricExecutor(FaultTolerantFabric(fabric, policy=RetryPolicy())),
             space, standard_impact(), strategy_by_name("fitness"),
             IterationBudget(32), rng=7, batch_size=4,
         ).run()

@@ -172,8 +172,8 @@ class TestFitnessDiscovery:
 class TestFabricParity:
     def test_socket_campaign_digest_matches_in_process(self, replkv):
         from repro.cluster import (
-            ClusterExplorer,
             ExplorerNode,
+            FabricExecutor,
             FaultTolerantFabric,
             LocalCluster,
             NodeManager,
@@ -188,8 +188,8 @@ class TestFabricParity:
         )
 
         def explore(cluster) -> str:
-            results = ClusterExplorer(
-                cluster, space, standard_impact(),
+            results = ExplorationSession(
+                FabricExecutor(cluster), space, standard_impact(),
                 FitnessGuidedSearch(), IterationBudget(40),
                 rng=11, batch_size=4,
             ).run()
