@@ -34,6 +34,7 @@ from repro.cluster import (
     SocketFabric,
     scenario_digest,
 )
+from repro.cluster.socket_fabric import _NodeConnection
 from repro.core.cache import ResultCache
 from repro.core.checkpoint import history_digest
 from repro.core.faultspace import FaultSpace
@@ -45,7 +46,7 @@ from repro.errors import ClusterError
 from repro.sim.targets.minidb import MiniDbTarget
 
 from tests.netutil import endpoint, free_port
-from tests.test_socket_fabric import make_request
+from tests.test_socket_fabric import make_report, make_request
 
 RETRY = RetryPolicy(max_attempts=200, base_delay=0.02, max_delay=0.2)
 
@@ -184,6 +185,67 @@ class TestWorkStealing:
             assert stats["per_test_seconds"] == pytest.approx(per_test)
 
         run_fleet(net, [node], campaign)
+
+
+class TestStealRaceAccounting:
+    """The losing copy of a stolen request is waste: counted once in
+    ``steal_duplicates`` whichever node loses, however late it lands."""
+
+    @staticmethod
+    def steal(net, rid=5):
+        """Fabric state right after ``rid`` moved from victim to thief."""
+        victim = _NodeConnection("victim", None, capacity=2)
+        thief = _NodeConnection("thief", None, capacity=2)
+        request = make_request(rid)
+        net._pending[rid] = request
+        thief.assigned[rid] = request
+        victim.stolen_away.add(rid)
+        net._stolen_once.add(rid)
+        return victim, thief
+
+    @staticmethod
+    def end_round(net, rid=5):
+        net._reports.pop(rid)
+        net._pending.pop(rid)
+
+    @staticmethod
+    def counts(net):
+        return (net.steal_duplicates, net.late_reports,
+                net.health.corrupt_reports)
+
+    def test_victim_losing_after_the_round_is_a_duplicate(self):
+        with SocketFabric("127.0.0.1:0") as net:
+            victim, thief = self.steal(net)
+            net._absorb_one_locked(thief, make_report(5))
+            self.end_round(net)
+            net._absorb_one_locked(victim, make_report(5))
+            assert self.counts(net) == (1, 0, 0)
+
+    def test_thief_losing_after_the_round_is_a_duplicate(self):
+        with SocketFabric("127.0.0.1:0") as net:
+            victim, thief = self.steal(net)
+            net._absorb_one_locked(victim, make_report(5))
+            assert net.health.completed == 1
+            self.end_round(net)
+            net._absorb_one_locked(thief, make_report(5))
+            assert self.counts(net) == (1, 0, 0)
+
+    def test_a_pending_loser_survives_rounds_until_its_id_is_reused(self):
+        with SocketFabric("127.0.0.1:0", ready_timeout=0.05) as net:
+            victim, thief = self.steal(net)
+            # A registered but retired node: each round below does its
+            # bookkeeping, then fails fast for want of a live node.
+            victim.retired = True
+            net._nodes[victim.name] = victim
+            net._absorb_one_locked(thief, make_report(5))
+            self.end_round(net)
+            with pytest.raises(ClusterError):
+                net.run_batch([make_request(6)])
+            assert 5 in victim.stolen_away
+            with pytest.raises(ClusterError):
+                net.run_batch([make_request(5)])
+            assert 5 not in victim.stolen_away
+            assert 5 not in net._steal_won
 
 
 class TestGracefulDrain:
